@@ -429,4 +429,12 @@ std::uint64_t CacheCluster::total_evictions() const {
   return total;
 }
 
+std::uint64_t CacheCluster::total_pin_failures() const {
+  std::uint64_t total = 0;
+  for (const WorkerCounters& c : worker_counters_) {
+    total += c.pin_failures->value();
+  }
+  return total;
+}
+
 }  // namespace opus::cache

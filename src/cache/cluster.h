@@ -159,6 +159,9 @@ class CacheCluster {
 
   const ControlPlaneStats& control_plane_stats() const { return cp_stats_; }
   std::uint64_t total_evictions() const;
+  // Load/pin requests that failed, summed over workers (the
+  // cluster.worker.*.pin_failures counters).
+  std::uint64_t total_pin_failures() const;
 
   // --- observability ------------------------------------------------------
   //

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <optional>
 
 #include "common/check.h"
@@ -21,6 +20,23 @@ using SteadyClock = std::chrono::steady_clock;
 
 double WallMs(SteadyClock::time_point begin, SteadyClock::time_point end) {
   return std::chrono::duration<double, std::milli>(end - begin).count();
+}
+
+double SizeOf(const std::vector<double>& sizes, std::size_t j) {
+  return sizes.empty() ? 1.0 : sizes[j];
+}
+
+double WeightOf(std::span<const double> weights, std::size_t i) {
+  return weights.empty() ? 1.0 : weights[i];
+}
+
+// Folds a discarded solve's work into the solve that replaced it, so the
+// window's accounting covers both.
+void AddSolveCost(const PfSolution& wasted, PfSolution* into) {
+  into->iterations += wasted.iterations;
+  into->projection_calls += wasted.projection_calls;
+  into->projection_warm_hits += wasted.projection_warm_hits;
+  into->projection_exact += wasted.projection_exact;
 }
 
 // Compact per-solve record for the leave-one-out loop: everything
@@ -83,6 +99,50 @@ std::uint64_t ProblemShapeKey(const CachingProblem& problem,
   return HashDoubles(priorities, HashDoubles(problem.file_sizes));
 }
 
+// Zero files of `alloc`, ordered by the PF objective's gradient at `alloc`
+// (descending, index tie-break): the order in which capacity freed by a
+// restricted re-solve recruits them. `utilities` are the rows' utilities
+// at `alloc`.
+std::vector<std::size_t> RecruitOrder(const CsrMatrix& csr,
+                                      std::span<const double> weights,
+                                      const std::vector<double>& alloc,
+                                      const std::vector<double>& utilities,
+                                      const std::vector<char>& row_active) {
+  std::vector<double> g(csr.cols(), 0.0);
+  for (std::size_t i = 0; i < csr.rows(); ++i) {
+    if (!row_active[i] || utilities[i] <= 0.0) continue;
+    const double scale = WeightOf(weights, i) / utilities[i];
+    const auto cols = csr.row_cols(i);
+    const auto vals = csr.row_vals(i);
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      g[cols[k]] += scale * vals[k];
+    }
+  }
+  std::vector<std::size_t> order;
+  for (std::size_t j = 0; j < csr.cols(); ++j) {
+    if (alloc[j] <= 0.0) order.push_back(j);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (g[a] != g[b]) return g[a] > g[b];
+    return a < b;  // deterministic tie-break
+  });
+  return order;
+}
+
+// Marks leading files of `order` not yet in the restriction until `budget`
+// (size units) is used up.
+void RecruitColumns(const std::vector<std::size_t>& order,
+                    const std::vector<double>& sizes, double budget,
+                    std::vector<char>* in_r, std::size_t* count) {
+  for (std::size_t j : order) {
+    if (budget <= 0.0) break;
+    if ((*in_r)[j]) continue;
+    (*in_r)[j] = 1;
+    ++*count;
+    budget -= SizeOf(sizes, j);
+  }
+}
+
 // Solves the PF problem restricted to the columns marked in `in_r`
 // (`count` of them), freezing every other column at `base`: frozen columns
 // pin their capacity share and contribute to every user's utility through
@@ -100,9 +160,6 @@ PfSolution SolveComposedRestricted(const CsrMatrix& csr,
                                    std::size_t count) {
   const std::size_t m = csr.cols();
   const std::vector<double>& sizes = problem.file_sizes;
-  auto size_of = [&](std::size_t j) {
-    return sizes.empty() ? 1.0 : sizes[j];
-  };
 
   PfSolution sol;
   if (count == 0) {
@@ -121,7 +178,7 @@ PfSolution SolveComposedRestricted(const CsrMatrix& csr,
     // Frozen columns: capacity they pin and utility they contribute.
     double frozen_mass = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
-      if (!in_r[j]) frozen_mass += size_of(j) * base[j];
+      if (!in_r[j]) frozen_mass += SizeOf(sizes, j) * base[j];
     }
     const double sub_capacity = std::max(0.0, problem.capacity - frozen_mass);
     std::vector<double> offsets(csr.rows(), 0.0);
@@ -160,19 +217,87 @@ PfSolution SolveComposedRestricted(const CsrMatrix& csr,
   return sol;
 }
 
-// Shared inputs of the N leave-one-out tax solves (all read-only once the
-// parallel loop starts, so the solves stay bit-identical at any thread
-// count).
-struct TaxContext {
+// Delta star solve: re-optimizes only the columns drifted users touch
+// (their old and new supports), the previous optimum's interior files (the
+// water level moves there first), and a gradient-ordered recruit budget of
+// zero files; everything else is frozen at the previous allocation. The
+// composed point must pass the FULL problem's KKT residual gate, otherwise
+// a warm full solve replaces it (`*fallbacks` counts those). Returns an
+// empty solution when the restriction would cover most columns — the
+// caller then runs the plain warm solve.
+PfSolution DeltaStarSolve(const CsrMatrix& csr, const CachingProblem& problem,
+                          const PfOptions& pf_options,
+                          std::span<const double> weights,
+                          const OpusWarmState& state,
+                          const std::vector<double>& drift,
+                          double drift_threshold,
+                          const std::vector<char>& row_active,
+                          double residual_gate, bool* composed,
+                          std::uint64_t* fallbacks) {
+  const std::size_t m = csr.cols();
+  const std::vector<double>& sizes = problem.file_sizes;
+  const std::vector<double>& a_prev = state.star_allocation;
+  std::vector<char> in_r(m, 0);
+  std::size_t count = 0;
+  double freed = 0.0;
+  auto add_col = [&](std::size_t j) {
+    if (!in_r[j]) {
+      freed += SizeOf(sizes, j) * a_prev[j];
+      in_r[j] = 1;
+      ++count;
+    }
+  };
+  for (std::size_t i = 0; i < csr.rows(); ++i) {
+    if (drift[i] <= drift_threshold) continue;
+    for (std::uint32_t c : csr.row_cols(i)) add_col(c);
+    // Old support from the warm state's CSR row (tombstoned entries are
+    // explicit zeros and held nothing).
+    const auto ocols = state.preferences.row_cols(i);
+    const auto ovals = state.preferences.row_vals(i);
+    for (std::size_t k = 0; k < ocols.size(); ++k) {
+      if (ovals[k] > 0.0) add_col(ocols[k]);
+    }
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    if (a_prev[j] > 0.0 && a_prev[j] < 1.0 && !in_r[j]) {
+      in_r[j] = 1;
+      ++count;
+    }
+  }
+  // Recruit zero files by the new problem's gradient at the previous
+  // allocation, enough to absorb ~2x the capacity drifted users' files
+  // hold — freed capacity must have somewhere to flow.
+  if (freed > 0.0) {
+    std::vector<double> u_prev(csr.rows(), 0.0);
+    CsrUtilities(csr, a_prev, u_prev);
+    RecruitColumns(RecruitOrder(csr, weights, a_prev, u_prev, row_active),
+                   sizes, 2.0 * freed, &in_r, &count);
+  }
+  if (count * 4 >= m * 3) return PfSolution();
+
+  PfSolution candidate = SolveComposedRestricted(csr, problem, pf_options,
+                                                 weights, a_prev, in_r, count);
+  if (candidate.residual < residual_gate) {
+    candidate.converged = true;
+    *composed = true;
+    return candidate;
+  }
+  ++*fallbacks;
+  PfSolution full = SolveProportionalFairnessCsr(
+      csr, problem.capacity, pf_options, weights, candidate.allocation, sizes);
+  AddSolveCost(candidate, &full);
+  return full;
+}
+
+// Shared inputs of the restricted leave-one-out solves (all read-only once
+// the parallel loop starts, so the solves stay bit-identical at any thread
+// count): the star allocation's interior files (strictly inside (0,1)),
+// and its zero files in recruit order.
+struct RestrictedTaxContext {
   const CachingProblem* problem = nullptr;
-  const CsrMatrix* csr = nullptr;  // null when the dense engine is in use
+  const CsrMatrix* csr = nullptr;
   const PfSolution* star = nullptr;
   PfOptions pf_options;
-  bool restricted = false;
-
-  // Star-allocation structure for the restricted fast path: files strictly
-  // inside (0,1), and zero files ordered by the full-problem gradient at a*
-  // (descending) — the order in which freed capacity would recruit them.
   std::vector<std::size_t> interior_files;
   std::vector<std::size_t> zero_order;
 };
@@ -185,29 +310,24 @@ struct TaxContext {
 // the restriction was skipped (R too large) or missed tolerance
 // (`attempt_cost` then carries the wasted work for accounting).
 std::optional<PfSolution> RestrictedLeaveOneOut(
-    const TaxContext& ctx, std::size_t i, std::span<const double> loo_weights,
-    bool* attempted, PfSolution* attempt_cost) {
+    const RestrictedTaxContext& ctx, std::size_t i,
+    std::span<const double> loo_weights, bool* attempted,
+    PfSolution* attempt_cost) {
   *attempted = false;
   const CsrMatrix& csr = *ctx.csr;
   const std::size_t m = csr.cols();
   const std::vector<double>& a_star = ctx.star->allocation;
   const std::vector<double>& sizes = ctx.problem->file_sizes;
-  auto size_of = [&](std::size_t j) {
-    return sizes.empty() ? 1.0 : sizes[j];
-  };
 
   std::vector<char> in_r(m, 0);
   std::size_t count = 0;
   double freed = 0.0;  // capacity user i's support holds at a*
-  {
-    const auto cols = csr.row_cols(i);
-    for (std::uint32_t c : cols) {
-      if (!in_r[c]) {
-        in_r[c] = 1;
-        ++count;
-      }
-      freed += size_of(c) * a_star[c];
+  for (std::uint32_t c : csr.row_cols(i)) {
+    if (!in_r[c]) {
+      in_r[c] = 1;
+      ++count;
     }
+    freed += SizeOf(sizes, c) * a_star[c];
   }
   for (std::size_t j : ctx.interior_files) {
     if (!in_r[j]) {
@@ -215,14 +335,8 @@ std::optional<PfSolution> RestrictedLeaveOneOut(
       ++count;
     }
   }
-  double budget = 2.0 * freed;  // slack so recruits are not capacity-starved
-  for (std::size_t j : ctx.zero_order) {
-    if (budget <= 0.0) break;
-    if (in_r[j]) continue;
-    in_r[j] = 1;
-    ++count;
-    budget -= size_of(j);
-  }
+  // 2x slack so recruits are not capacity-starved.
+  RecruitColumns(ctx.zero_order, sizes, 2.0 * freed, &in_r, &count);
   // A restriction covering most columns saves nothing over the full solve.
   if (count * 4 >= m * 3) return std::nullopt;
 
@@ -290,30 +404,16 @@ AllocationResult OpusAllocator::AllocateWithDiagnostics(
   return AllocateIncremental(problem, nullptr, diag);
 }
 
+// One pipeline serves every window:
+//   drift -> granularity -> star -> unit taxes -> disaggregate -> Stage 2
+//   -> state refresh -> diagnostics.
+// Only the granularity phase differs between modes. It picks the "units"
+// the mechanism prices: users themselves (identity granularity), or
+// preference clusters solved on the aggregate problem (clustered
+// granularity). Every later phase is written once over units.
 AllocationResult OpusAllocator::AllocateIncremental(
     const CachingProblem& problem, OpusWarmState* state,
     OpusDiagnostics* diag) const {
-  const bool aggregated =
-      (options_.aggregation.max_clusters > 0 ||
-       options_.aggregation.auto_tune) &&
-      !options_.use_dense_solver &&
-      problem.num_users() >= options_.aggregation.min_users &&
-      problem.num_users() > 0 && problem.num_files() > 0;
-  if (aggregated) {
-    return AllocateAggregated(problem, state, diag);
-  }
-  // A state left over from an aggregated window reaches this branch only on
-  // a policy/config change (aggregation switched off); start it cold rather
-  // than seed a differently-configured mechanism. The auto-tuner's degrade
-  // path does NOT come through here — AllocateAggregated calls
-  // AllocateDirect itself so the user-granularity state is reused.
-  if (state != nullptr && !state->cluster_of.empty()) state->Invalidate();
-  return AllocateDirect(problem, state, diag);
-}
-
-AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
-                                               OpusWarmState* state,
-                                               OpusDiagnostics* diag) const {
   const auto t_begin = SteadyClock::now();
   const std::size_t n = problem.num_users();
   const std::size_t m = problem.num_files();
@@ -322,9 +422,18 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
     OPUS_CHECK_EQ(priorities.size(), n);
     for (double w : priorities) OPUS_CHECK_GT(w, 0.0);
   }
-  auto priority_of = [&](std::size_t i) {
-    return priorities.empty() ? 1.0 : priorities[i];
-  };
+  const bool aggregation =
+      (options_.aggregation.max_clusters > 0 ||
+       options_.aggregation.auto_tune) &&
+      !options_.use_dense_solver && n >= options_.aggregation.min_users &&
+      n > 0 && m > 0;
+  // A state left over from a clustered window meets a non-aggregating
+  // configuration only after a policy/config change; start it cold rather
+  // than seed a differently-configured mechanism. (The auto-tuner's
+  // per-user windows keep aggregation configured and reuse the state.)
+  if (!aggregation && state != nullptr && !state->cluster_of.empty()) {
+    state->Invalidate();
+  }
 
   PfOptions pf_options;
   pf_options.tolerance = options_.solver_tolerance;
@@ -332,8 +441,8 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
   pf_options.use_dense_reference = options_.use_dense_solver;
 
   // The production engine works off the problem's cached CSR view: the
-  // matrix is validated and row sums are taken exactly once, shared by the
-  // star solve and all N leave-one-out solves.
+  // matrix is validated and row sums are taken exactly once, shared by
+  // every solve of the window.
   const CsrMatrix* csr =
       options_.use_dense_solver ? nullptr : &problem.PreferencesCsr();
 
@@ -349,11 +458,7 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
     row_active[i] = row_sum > 0.0 ? 1 : 0;
   }
 
-  const unsigned tax_threads =
-      options_.tax_threads > 1
-          ? std::min<unsigned>(options_.tax_threads, static_cast<unsigned>(n))
-          : 1;
-
+  // --- Drift ---------------------------------------------------------------
   // Warm state compatibility: the previous window's solve must describe the
   // same problem shape — dimensions, capacity, and the content hash of file
   // sizes and priority weights (O(N + M) to key instead of retaining and
@@ -365,138 +470,138 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
       state->shape_key == shape_key && state->star_allocation.size() == m &&
       state->star_utilities.size() == n && state->taxes.size() == n;
 
-  // Delta machinery: configured by options + a compatible warm state;
-  // auto-off then disables it for this window when the observed drift
-  // fraction says the bookkeeping (restricted composition, per-user reuse
-  // gates) would cost more than the few reusable taxes save.
-  const bool delta_configured =
-      warm_ok && csr != nullptr && options_.delta.drift_threshold > 0.0;
+  // Per-user drift vs. the stored rows feeds delta composition and, when
+  // aggregation is configured, the cluster auto-tuner and sticky
+  // re-clustering. The tuner needs a threshold even when delta composition
+  // is off; 0.05 on normalized rows is well under the clustering
+  // similarity threshold. Auto-off then skips the reuse machinery for the
+  // window when the drifted fraction says the bookkeeping (restricted
+  // composition, reuse gates) would cost more than the few reusable taxes
+  // save.
+  const bool delta_configured = options_.delta.drift_threshold > 0.0;
+  const double drift_threshold =
+      delta_configured ? options_.delta.drift_threshold : 0.05;
+  const bool measure_drift =
+      warm_ok && csr != nullptr && (delta_configured || aggregation);
+  const unsigned threads =
+      options_.tax_threads > 1
+          ? std::min<unsigned>(options_.tax_threads, static_cast<unsigned>(n))
+          : 1;
   std::vector<double> drift;
   double drift_fraction = 0.0;
-  if (delta_configured) {
-    drift = RowDriftsCsr(*csr, state->preferences, tax_threads);
+  if (measure_drift) {
+    drift = RowDriftsCsr(*csr, state->preferences, threads);
     std::size_t mechanism = 0;
     std::size_t drifted = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (row_active[i] || state->preferences.row_sum(i) > 0.0) ++mechanism;
-      if (drift[i] > options_.delta.drift_threshold) ++drifted;
+      if (drift[i] > drift_threshold) ++drifted;
     }
     drift_fraction = mechanism == 0 ? 0.0
                                     : static_cast<double>(drifted) /
                                           static_cast<double>(mechanism);
   }
   const bool delta_auto_off =
-      delta_configured && options_.delta.auto_off_drift_fraction < 1.0 &&
+      measure_drift && options_.delta.auto_off_drift_fraction < 1.0 &&
       drift_fraction >= options_.delta.auto_off_drift_fraction;
-  const bool delta_active = delta_configured && !delta_auto_off;
   const auto t_drift = SteadyClock::now();
 
-  // --- Stage 1: VCG_PF --------------------------------------------------
-  const double residual_gate =
-      options_.delta.gate_slack * options_.solver_tolerance;
+  // --- Granularity -----------------------------------------------------------
+  // Clustered when aggregation is configured and the tuner's budget is
+  // positive (0 = drift crossed degrade_drift_fraction, cluster
+  // approximations stop paying): sticky against the previous window when
+  // auto-tuning and the warm clustering is compatible (and the budget did
+  // not shrink under half the surviving cluster count — then a fresh
+  // coarse clustering beats dragging a fine one along), a fresh greedy
+  // pass otherwise. A clustering with no cluster (no non-empty row) or
+  // only singletons IS the user-level mechanism and runs at identity.
+  const std::size_t budget =
+      aggregation ? ChooseClusterBudget(options_.aggregation, n,
+                                        warm_ok ? drift_fraction : -1.0)
+                  : 0;
+  UserClustering clustering;
+  std::vector<char> dirty;
+  bool sticky = false;
+  std::vector<double> members;  // [cluster] member count
+  bool identity = true;
+  if (budget > 0) {
+    const std::size_t prev_k = warm_ok ? state->leader_of.size() : 0;
+    bool leaders_valid = prev_k > 0 && state->cluster_of.size() == n &&
+                         state->cluster_weight.size() == prev_k &&
+                         state->cluster_taxes.size() == prev_k;
+    for (std::size_t c = 0; leaders_valid && c < prev_k; ++c) {
+      leaders_valid = state->leader_of[c] < n;
+    }
+    sticky = options_.aggregation.auto_tune && leaders_valid &&
+             budget * 2 >= prev_k;
+    if (sticky) {
+      clustering = StickyReclusterByPreference(
+          problem, options_.aggregation, priorities, state->cluster_of,
+          state->leader_of, drift, drift_threshold, budget, &dirty);
+    } else {
+      AggregationOptions fresh = options_.aggregation;
+      fresh.max_clusters = budget;
+      clustering = ClusterUsersByPreference(problem, fresh, priorities);
+    }
+    members.assign(clustering.num_clusters, 0.0);
+    for (const std::uint32_t c : clustering.cluster_of) {
+      if (c != kUnclustered) members[c] += 1.0;
+    }
+    identity = std::all_of(members.begin(), members.end(),
+                           [](double count) { return count == 1.0; });
+  }
+  // Units: users (identity; the unit problem is the caller's own) or
+  // clusters (the K x M aggregate problem, unit weights = summed member
+  // priorities).
+  std::optional<CachingProblem> aggregate;
+  if (!identity) aggregate = BuildAggregateProblem(problem, clustering);
+  const CachingProblem& units = identity ? problem : *aggregate;
+  const CsrMatrix* ucsr = identity ? csr : &aggregate->PreferencesCsr();
+  const std::span<const double> unit_weights =
+      identity ? std::span<const double>(priorities)
+               : std::span<const double>(clustering.cluster_weight);
+  const std::size_t k = identity ? n : clustering.num_clusters;
+  std::vector<char> cluster_active;
+  for (std::size_t c = 0; !identity && c < k; ++c) {
+    cluster_active.push_back(ucsr->row_sum(c) > 0.0 ? 1 : 0);
+  }
+  const std::vector<char>& unit_active = identity ? row_active : cluster_active;
+  auto unit_members = [&](std::size_t u) {
+    return identity ? 1.0 : members[u];
+  };
+  // Tax reuse: per-user delta windows (rows that did not drift) at identity
+  // granularity; sticky windows' untouched clusters at clustered
+  // granularity.
+  const bool delta_active = identity && measure_drift && delta_configured &&
+                            !delta_auto_off;
+  const bool reuse_active = identity ? delta_active
+                                     : sticky && !delta_auto_off;
+  auto unit_stale = [&](std::size_t u) {
+    return identity ? drift[u] <= drift_threshold
+                    : u < state->leader_of.size() && !dirty[u];
+  };
+  const auto t_cluster = SteadyClock::now();
+
+  // --- Star: VCG_PF stage 1 ------------------------------------------------
   PfSolution star;
   bool star_composed = false;
   std::uint64_t delta_fallbacks = 0;
   if (delta_active) {
-    // Delta star solve: re-optimize only the columns drifted users touch
-    // (their old and new supports), the previous optimum's interior files
-    // (the water level moves there first), and a gradient-ordered recruit
-    // budget of zero files; everything else is frozen at the previous
-    // allocation. The composed point must pass the FULL problem's KKT
-    // residual gate; otherwise fall back to a warm full solve.
-    const std::vector<double>& a_prev = state->star_allocation;
-    std::vector<char> in_r(m, 0);
-    std::size_t count = 0;
-    double freed = 0.0;
-    auto size_of = [&](std::size_t j) {
-      return problem.file_sizes.empty() ? 1.0 : problem.file_sizes[j];
-    };
-    auto add_col = [&](std::size_t j) {
-      if (!in_r[j]) {
-        in_r[j] = 1;
-        ++count;
-      }
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift[i] <= options_.delta.drift_threshold) continue;
-      for (std::uint32_t c : csr->row_cols(i)) {
-        if (!in_r[c]) freed += size_of(c) * a_prev[c];
-        add_col(c);
-      }
-      // Old support from the warm state's CSR row (tombstoned entries are
-      // explicit zeros and held nothing).
-      const auto ocols = state->preferences.row_cols(i);
-      const auto ovals = state->preferences.row_vals(i);
-      for (std::size_t k = 0; k < ocols.size(); ++k) {
-        if (ovals[k] <= 0.0) continue;
-        if (!in_r[ocols[k]]) freed += size_of(ocols[k]) * a_prev[ocols[k]];
-        add_col(ocols[k]);
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      if (a_prev[j] > 0.0 && a_prev[j] < 1.0) add_col(j);
-    }
-    // Recruit zero files by the new problem's gradient at the previous
-    // allocation, enough to absorb ~2x the capacity drifted users' files
-    // hold — freed capacity must have somewhere to flow.
-    if (freed > 0.0) {
-      std::vector<double> u_prev(n, 0.0);
-      CsrUtilities(*csr, a_prev, u_prev);
-      std::vector<double> g(m, 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!row_active[i] || u_prev[i] <= 0.0) continue;
-        const double scale = priority_of(i) / u_prev[i];
-        const auto cols = csr->row_cols(i);
-        const auto vals = csr->row_vals(i);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          g[cols[k]] += scale * vals[k];
-        }
-      }
-      std::vector<std::size_t> zeros;
-      for (std::size_t j = 0; j < m; ++j) {
-        if (a_prev[j] <= 0.0 && !in_r[j]) zeros.push_back(j);
-      }
-      std::sort(zeros.begin(), zeros.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (g[a] != g[b]) return g[a] > g[b];
-                  return a < b;
-                });
-      double budget = 2.0 * freed;
-      for (std::size_t j : zeros) {
-        if (budget <= 0.0) break;
-        add_col(j);
-        budget -= size_of(j);
-      }
-    }
-    if (count * 4 < m * 3) {
-      PfSolution composed = SolveComposedRestricted(
-          *csr, problem, pf_options, priorities, a_prev, in_r, count);
-      if (composed.residual < residual_gate) {
-        composed.converged = true;
-        star = std::move(composed);
-        star_composed = true;
-      } else {
-        ++delta_fallbacks;
-        PfSolution full = SolveProportionalFairnessCsr(
-            *csr, problem.capacity, pf_options, priorities,
-            composed.allocation, problem.file_sizes);
-        // Fold the wasted composition into this window's accounting.
-        full.iterations += composed.iterations;
-        full.projection_calls += composed.projection_calls;
-        full.projection_warm_hits += composed.projection_warm_hits;
-        full.projection_exact += composed.projection_exact;
-        star = std::move(full);
-      }
-    }
+    star = DeltaStarSolve(*csr, problem, pf_options, priorities, *state, drift,
+                          drift_threshold, row_active,
+                          options_.delta.gate_slack * options_.solver_tolerance,
+                          &star_composed, &delta_fallbacks);
   }
   if (star.allocation.empty()) {
+    // Warm-started from the previous window's applied per-file allocation
+    // (valid at any granularity: a* is per-file, not per-unit).
     const std::span<const double> star_warm =
         warm_ok ? std::span<const double>(state->star_allocation)
                 : std::span<const double>();
-    star = csr != nullptr
-               ? SolveProportionalFairnessCsr(*csr, problem.capacity,
-                                              pf_options, priorities,
-                                              star_warm, problem.file_sizes)
+    star = ucsr != nullptr
+               ? SolveProportionalFairnessCsr(*ucsr, units.capacity,
+                                              pf_options, unit_weights,
+                                              star_warm, units.file_sizes)
                : SolveProportionalFairness(problem.preferences,
                                            problem.capacity, pf_options,
                                            priorities, star_warm,
@@ -504,238 +609,235 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
   }
   const auto t_star = SteadyClock::now();
 
-  // Shared read-only context for the leave-one-out solves, including the
-  // star-allocation structure the restricted fast path partitions on.
-  TaxContext ctx;
-  ctx.problem = &problem;
-  ctx.csr = csr;
-  ctx.star = &star;
-  ctx.pf_options = pf_options;
-  ctx.restricted = csr != nullptr && options_.restricted_tax_solves;
-  if (ctx.restricted) {
+  // --- Unit taxes ------------------------------------------------------------
+  // Restricted leave-one-out fast path (identity only): the star
+  // allocation's interior files, and its zero files ordered by the full
+  // objective's gradient at a*. For files outside user i's support that
+  // gradient equals the others' gradient exactly (user i contributes
+  // nothing there), and support files are always in R, so one global order
+  // serves all N solves.
+  const bool restricted =
+      identity && csr != nullptr && options_.restricted_tax_solves;
+  RestrictedTaxContext ctx;
+  if (restricted) {
+    ctx.problem = &problem;
+    ctx.csr = csr;
+    ctx.star = &star;
+    ctx.pf_options = pf_options;
     for (std::size_t j = 0; j < m; ++j) {
       if (star.allocation[j] > 0.0 && star.allocation[j] < 1.0) {
         ctx.interior_files.push_back(j);
       }
     }
-    // Gradient of the full objective at a*: zero files with the steepest
-    // gradient are the ones freed capacity recruits first. For files
-    // outside user i's support this full gradient equals the others'
-    // gradient exactly (user i contributes nothing there), and support
-    // files are always in R, so one global descending order serves all N
-    // solves.
-    std::vector<double> g_full(m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!row_active[i]) continue;
-      const double u = star.utilities[i];
-      if (u <= 0.0) continue;
-      const double scale = priority_of(i) / u;
-      const auto cols = csr->row_cols(i);
-      const auto vals = csr->row_vals(i);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        g_full[cols[k]] += scale * vals[k];
-      }
-    }
-    for (std::size_t j = 0; j < m; ++j) {
-      if (star.allocation[j] <= 0.0) ctx.zero_order.push_back(j);
-    }
-    std::sort(ctx.zero_order.begin(), ctx.zero_order.end(),
-              [&](std::size_t a, std::size_t b) {
-                if (g_full[a] != g_full[b]) return g_full[a] > g_full[b];
-                return a < b;  // deterministic tie-break
-              });
+    ctx.zero_order = RecruitOrder(*csr, priorities, star.allocation,
+                                  star.utilities, row_active);
   }
 
-  // Tax reuse (delta windows): a user whose preference row did not drift
-  // and whose support neighborhood of the allocation barely moved has a
-  // leave-one-out problem unchanged up to the drift tolerance — its
-  // previous Clarke tax is reused instead of re-solved. The neighborhood
-  // signal is the UNSIGNED preference-weighted allocation move
-  //   sum_j p_ij |a*new_j - a*old_j|,
-  // not the net utility move: opposite-sign moves across a user's support
+  // Tax reuse gate: a stale unit whose support neighborhood of the
+  // allocation barely moved has a leave-one-out problem unchanged up to the
+  // drift tolerance — its previous tax is reused instead of re-solved. The
+  // neighborhood signal is the UNSIGNED preference-weighted allocation move
+  //   sum_j p_uj |a*new_j - a*old_j|,
+  // not the net utility move: opposite-sign moves across a unit's support
   // cancel in the utility while still reshaping its leave-one-out
   // landscape (and hence its tax). Approximate by design; the per-window
   // FairnessAuditor re-checks the guarantees on the applied allocation.
-  std::vector<char> reuse(n, 0);
+  std::vector<char> reuse(k, 0);
   std::uint64_t reused_taxes = 0;
-  if (delta_active) {
+  if (reuse_active) {
     const std::vector<double>& a_prev = state->star_allocation;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (drift[i] > options_.delta.drift_threshold) continue;
-      const auto cols = csr->row_cols(i);
-      const auto vals = csr->row_vals(i);
+    for (std::size_t u = 0; u < k; ++u) {
+      if (!unit_stale(u)) continue;
+      const auto cols = ucsr->row_cols(u);
+      const auto vals = ucsr->row_vals(u);
       double moved = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        moved += vals[k] * std::fabs(star.allocation[cols[k]] -
-                                     a_prev[cols[k]]);
+      for (std::size_t t = 0; t < cols.size(); ++t) {
+        moved += vals[t] * std::fabs(star.allocation[cols[t]] -
+                                     a_prev[cols[t]]);
       }
       if (moved > options_.delta.utility_rel_tolerance *
-                      std::max(star.utilities[i], 1e-12)) {
+                      std::max(star.utilities[u], 1e-12)) {
         continue;
       }
-      reuse[i] = 1;
+      reuse[u] = 1;
       ++reused_taxes;
     }
   }
+  const std::vector<double>* prev_unit_taxes =
+      !reuse_active ? nullptr
+      : identity    ? &state->taxes
+                    : &state->cluster_taxes;
 
-  // Virtual welfare at the star point, precomputed once: each active
-  // user's log term and their Kahan total, so welfare-at-star excluding i
-  // is an O(1) subtraction instead of the old O(N) re-sum per tax solve
+  // Virtual welfare at the star point, precomputed once: each active unit's
+  // log term and their Kahan total, so welfare-at-star for any leave-one-
+  // out weight is an O(1) adjustment instead of an O(K) re-sum per solve
   // (an O(N^2) term all by itself at million-user scale).
-  std::vector<double> star_logs(n, 0.0);
+  std::vector<double> star_logs(k, 0.0);
   double star_log_total = 0.0;
   {
     std::vector<double> terms;
-    terms.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!row_active[k] || star.utilities[k] <= 0.0) continue;
-      star_logs[k] = priority_of(k) * std::log(star.utilities[k]);
-      terms.push_back(star_logs[k]);
+    terms.reserve(k);
+    for (std::size_t u = 0; u < k; ++u) {
+      if (!unit_active[u] || star.utilities[u] <= 0.0) continue;
+      star_logs[u] = WeightOf(unit_weights, u) * std::log(star.utilities[u]);
+      terms.push_back(star_logs[u]);
     }
     star_log_total = KahanSum(terms);
   }
 
-  // Clarke pivot taxes via leave-one-out PF solves, warm-started from a*.
+  // Clarke pivot taxes via leave-one-member-out PF solves, warm-started
+  // from a*: unit u's weight drops by one mean member weight, to
+  // max(0, W_u - W_u / members_u), and the departing member is charged the
+  // others' welfare gain. Removing a whole cluster would price the
+  // coalition's externality (which grows with cluster size and over-taxes
+  // every member ~members-fold); a singleton unit's weight drops to
+  // exactly 0, which is the user-level leave-one-out solve. "Others"
+  // includes the member's own cluster at its remaining weight.
+  //
   // The solves are independent; with tax_threads > 1 they run through the
   // shared pool, each participating thread owning one pre-sized scratch
   // slab (weights + log buffer) via its ParallelForSlot slot id — no
   // per-index allocation. Results and per-solve stats land in
   // index-addressed slots and are folded in order below, so the outcome is
   // bit-identical to the serial run at any thread count.
-  std::vector<double> taxes(n, 0.0);
-  std::vector<LooStats> loo_stats(n);
-  std::vector<char> restricted_hit(n, 0);
-  std::vector<char> restricted_fb(n, 0);
+  std::vector<double> unit_taxes(k, 0.0);
+  std::vector<LooStats> loo_stats(k);
+  std::vector<char> restricted_hit(k, 0);
+  std::vector<char> restricted_fb(k, 0);
   struct TaxScratch {
-    std::vector<double> weights;  // priorities copy; [i] saved/restored
+    std::vector<double> weights;  // unit weights copy; [u] saved/restored
     std::vector<double> logs;     // welfare accumulation buffer
   };
+  const unsigned tax_threads =
+      options_.tax_threads > 1
+          ? std::min<unsigned>(options_.tax_threads, static_cast<unsigned>(k))
+          : 1;
   std::vector<TaxScratch> scratch(
-      ThreadPool::Shared().SlotBound(n, tax_threads));
-  auto tax_for = [&](std::size_t i, std::size_t slot) {
-    if (reuse[i]) {
-      taxes[i] = std::max(0.0, state->taxes[i]);
+      ThreadPool::Shared().SlotBound(k, tax_threads));
+  auto tax_for = [&](std::size_t u, std::size_t slot) {
+    if (unit_members(u) <= 0.0) return;  // emptied-out sticky cluster
+    if (reuse[u]) {
+      unit_taxes[u] = std::max(0.0, (*prev_unit_taxes)[u]);
       return;
     }
     TaxScratch& s = scratch[slot];
-    if (s.weights.size() != n) {
-      s.weights.assign(n, 1.0);
-      if (!priorities.empty()) {
-        std::copy(priorities.begin(), priorities.end(), s.weights.begin());
-      }
-      s.logs.reserve(n);
+    if (s.weights.size() != k) {
+      s.weights.assign(k, 1.0);
+      std::copy(unit_weights.begin(), unit_weights.end(), s.weights.begin());
+      s.logs.reserve(k);
     }
     std::vector<double>& weights = s.weights;
-    const double saved = weights[i];
-    weights[i] = 0.0;
-    PfSolution without_i;
-    if (csr != nullptr && !row_active[i]) {
-      // User i never entered the objective, so the leave-one-out problem
+    const double saved = weights[u];
+    const double loo_weight =
+        std::max(0.0, saved - saved / unit_members(u));
+    weights[u] = loo_weight;
+    PfSolution without;
+    if (ucsr != nullptr && !unit_active[u]) {
+      // The unit never entered the objective, so the leave-one-out problem
       // *is* the star problem: reuse its solution at zero marginal cost.
-      without_i.allocation = star.allocation;
-      without_i.utilities = star.utilities;
-      without_i.objective = star.objective;
-      without_i.residual = star.residual;
-      without_i.converged = star.converged;
+      without.allocation = star.allocation;
+      without.utilities = star.utilities;
+      without.objective = star.objective;
+      without.residual = star.residual;
+      without.converged = star.converged;
     } else {
       bool attempted = false;
       std::optional<PfSolution> fast;
       PfSolution attempt_cost;
-      if (ctx.restricted) {
-        fast = RestrictedLeaveOneOut(ctx, i, weights, &attempted,
+      if (restricted) {
+        fast = RestrictedLeaveOneOut(ctx, u, weights, &attempted,
                                      &attempt_cost);
       }
       if (fast.has_value()) {
-        without_i = std::move(*fast);
-        restricted_hit[i] = 1;
+        without = std::move(*fast);
+        restricted_hit[u] = 1;
       } else {
-        if (attempted) restricted_fb[i] = 1;
+        if (attempted) restricted_fb[u] = 1;
         // Full solve, warm-started from the best available point: the
         // failed restricted composition when there is one, else a*.
         std::span<const double> warm =
             attempted ? std::span<const double>(attempt_cost.allocation)
                       : std::span<const double>(star.allocation);
-        without_i =
-            csr != nullptr
-                ? SolveProportionalFairnessCsr(*csr, problem.capacity,
+        without =
+            ucsr != nullptr
+                ? SolveProportionalFairnessCsr(*ucsr, units.capacity,
                                                pf_options, weights, warm,
-                                               problem.file_sizes)
+                                               units.file_sizes)
                 : SolveProportionalFairness(problem.preferences,
                                             problem.capacity, pf_options,
                                             weights, warm,
                                             problem.file_sizes);
-        if (attempted) {
-          // Fold the wasted restricted attempt into this tax's accounting.
-          without_i.iterations += attempt_cost.iterations;
-          without_i.projection_calls += attempt_cost.projection_calls;
-          without_i.projection_warm_hits += attempt_cost.projection_warm_hits;
-          without_i.projection_exact += attempt_cost.projection_exact;
-        }
+        if (attempted) AddSolveCost(attempt_cost, &without);
       }
     }
-    weights[i] = saved;
 
     s.logs.clear();
-    for (std::size_t k = 0; k < n; ++k) {
-      if (k == i || !row_active[k]) continue;
-      // At a PF optimum with positive capacity every user with a non-zero
+    for (std::size_t v = 0; v < k; ++v) {
+      if (weights[v] <= 0.0 || !unit_active[v]) continue;
+      // At a PF optimum with positive capacity every unit with a non-zero
       // preference row has strictly positive utility; utility can be zero
       // only in the degenerate capacity-0 / no-files instances, where it is
       // zero in both the full and the leave-one-out solution and cancels
       // out of the tax — skip symmetrically with the star-side terms.
-      if (without_i.utilities[k] <= 0.0) continue;
-      s.logs.push_back(priority_of(k) * std::log(without_i.utilities[k]));
+      if (without.utilities[v] <= 0.0) continue;
+      s.logs.push_back(weights[v] * std::log(without.utilities[v]));
     }
+    weights[u] = saved;
     const double welfare_without = KahanSum(s.logs);
-    const double welfare_at_star = star_log_total - star_logs[i];
+    double welfare_at_star = star_log_total - star_logs[u];
+    if (loo_weight > 0.0 && star.utilities[u] > 0.0) {
+      welfare_at_star += loo_weight * std::log(star.utilities[u]);
+    }
     // The pivot tax is non-negative by optimality of the leave-one-out
     // solution; clamp away solver residual noise.
-    taxes[i] = std::max(0.0, welfare_without - welfare_at_star);
-    loo_stats[i] = LooStats::From(without_i);
+    unit_taxes[u] = std::max(0.0, welfare_without - welfare_at_star);
+    loo_stats[u] = LooStats::From(without);
   };
   if (tax_threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) tax_for(i, 0);
+    for (std::size_t u = 0; u < k; ++u) tax_for(u, 0);
   } else {
-    ThreadPool::Shared().ParallelForSlot(n, tax_for, tax_threads);
+    ThreadPool::Shared().ParallelForSlot(k, tax_for, tax_threads);
   }
   const auto t_tax = SteadyClock::now();
   PfStats solve_stats;
   solve_stats.Observe(star);
-  for (std::size_t i = 0; i < n; ++i) loo_stats[i].FoldInto(&solve_stats);
-  for (std::size_t i = 0; i < n; ++i) {
-    solve_stats.restricted_solves += restricted_hit[i];
-    solve_stats.restricted_fallbacks += restricted_fb[i];
+  for (std::size_t u = 0; u < k; ++u) {
+    loo_stats[u].FoldInto(&solve_stats);
+    solve_stats.restricted_solves += restricted_hit[u];
+    solve_stats.restricted_fallbacks += restricted_fb[u];
   }
-  auto fill_solver_fields = [&](AllocationResult& r) {
-    r.solver_iterations = solve_stats.iterations;
-    r.solver_residual = solve_stats.max_residual;
-    r.solver_solves = solve_stats.solves;
-    r.solver_projections = solve_stats.projection_calls;
-    r.solver_restricted_taxes = solve_stats.restricted_solves;
-    r.solver_restricted_fallbacks = solve_stats.restricted_fallbacks;
-    r.solver_nnz_ratio = csr != nullptr ? csr->NnzRatio() : 1.0;
-    r.solver_warm_started = warm_ok;
-    r.solver_delta_window = delta_active;
-    r.solver_delta_star_composed = star_composed;
-    r.solver_delta_auto_off = delta_auto_off;
-    r.solver_drift_fraction = drift_fraction;
-    if (delta_active) {
-      r.solver_delta_resolved = static_cast<std::uint64_t>(n) - reused_taxes;
-      r.solver_delta_reused = reused_taxes;
-    }
-    r.solver_delta_fallbacks = delta_fallbacks;
-  };
 
+  // --- Disaggregate: unit taxes and utilities to users -----------------------
+  // Identity units are the users. Clustered: the file allocation is shared
+  // verbatim, users' utilities are re-evaluated on their own rows, and
+  // member taxes scale with priority (T_i = member_tax_c * w_i / mean_w_c,
+  // which DisaggregateTaxes produces from member_tax_c * members_c), so
+  // every member of a cluster gets the same blocking probability.
+  std::vector<double> taxes;
+  std::vector<double> member_utilities;
+  if (identity) {
+    taxes = std::move(unit_taxes);
+  } else {
+    std::vector<double> scaled(k, 0.0);
+    for (std::size_t c = 0; c < k; ++c) scaled[c] = unit_taxes[c] * members[c];
+    DisaggregateTaxes(clustering, scaled, priorities, &taxes);
+    member_utilities.assign(n, 0.0);
+    CsrUtilities(*csr, star.allocation, member_utilities);
+  }
+  const std::vector<double>& utilities =
+      identity ? star.utilities : member_utilities;
   std::vector<double> blocking(n, 0.0);
   std::vector<double> net(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     // The tax lives in virtual-welfare units; user i's virtual utility is
     // w_i log U_i, so the utility share it keeps is exp(-T_i / w_i).
-    blocking[i] = 1.0 - std::exp(-taxes[i] / priority_of(i));
-    net[i] = std::exp(-taxes[i] / priority_of(i)) * star.utilities[i];
+    blocking[i] = 1.0 - std::exp(-taxes[i] / WeightOf(priorities, i));
+    net[i] = std::exp(-taxes[i] / WeightOf(priorities, i)) * utilities[i];
   }
 
-  // --- Stage 2: PROVIDES_IG ----------------------------------------------
+  // --- Stage 2: PROVIDES_IG, always per user -------------------------------
+  // Cluster-level stage 2 would only cover cluster aggregates: sharing is
+  // kept only when every user's net utility covers its isolated baseline.
   const std::vector<double> isolated = IsolatedUtilities(problem, priorities);
   bool ig_holds = true;
   for (std::size_t i = 0; i < n; ++i) {
@@ -745,362 +847,33 @@ AllocationResult OpusAllocator::AllocateDirect(const CachingProblem& problem,
     }
   }
 
-  // Refresh the warm state with this window's outcome (even on an
-  // isolation fallback: the PF solve and taxes are still the right seed
-  // for the next window's sharing attempt). Rows are stored as one CSR —
-  // never a dense N x M copy.
+  // --- State refresh -------------------------------------------------------
+  // Even on an isolation fallback the PF solve and taxes are the right seed
+  // for the next window's sharing attempt. The state always holds USER
+  // rows and per-user artifacts (drift statistics and per-user windows
+  // need them); clustered windows add the clustering and the cluster-level
+  // artifacts that sticky re-clustering and cluster-tax reuse read. Rows
+  // are stored as one CSR — never a dense N x M copy.
   if (state != nullptr) {
     state->preferences = csr != nullptr ? *csr : problem.PreferencesCsr();
     state->capacity = problem.capacity;
     state->shape_key = shape_key;
     state->star_allocation = star.allocation;
-    state->star_utilities = star.utilities;
-    state->taxes = taxes;
-    state->cluster_of.clear();
-    state->leader_of.clear();
-    state->cluster_weight.clear();
-    state->cluster_taxes.clear();
-    state->cluster_utilities.clear();
-    state->drift_fraction = drift_fraction;
-    state->windows = warm_ok ? state->windows + 1 : 1;
-    state->valid = true;
-    state->tombstoned_nnz_ = 0;
-  }
-  const auto t_fin = SteadyClock::now();
-
-  if (diag != nullptr) {
-    diag->pf_allocation = star.allocation;
-    diag->pf_utilities = star.utilities;
-    diag->taxes = taxes;
-    diag->break_even_taxes.assign(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (isolated[i] <= 0.0) {
-        diag->break_even_taxes[i] = std::numeric_limits<double>::infinity();
-      } else if (star.utilities[i] <= 0.0) {
-        diag->break_even_taxes[i] = 0.0;
-      } else {
-        diag->break_even_taxes[i] =
-            priority_of(i) * std::log(star.utilities[i] / isolated[i]);
-      }
-    }
-    diag->net_utilities = net;
-    diag->isolated_utilities = isolated;
-    diag->settled_on_sharing = ig_holds;
-    diag->solver_iterations = static_cast<int>(solve_stats.iterations);
-    diag->drift_wall_ms = WallMs(t_begin, t_drift);
-    diag->cluster_wall_ms = 0.0;
-    diag->star_wall_ms = WallMs(t_drift, t_star);
-    diag->tax_wall_ms = WallMs(t_star, t_tax);
-    diag->finalize_wall_ms = WallMs(t_tax, t_fin);
-  }
-
-  if (!ig_holds) {
-    AllocationResult r = IsolatedAllocator(priorities).Allocate(problem);
-    r.policy = name();
-    fill_solver_fields(r);
-    return r;
-  }
-
-  AllocationResult r;
-  r.policy = name();
-  r.file_alloc = star.allocation;
-  r.taxes = std::move(taxes);
-  r.blocking = std::move(blocking);
-  fill_solver_fields(r);
-  for (std::size_t j = 0; j < m; ++j) {
-    r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
-  }
-  if (problem.dense_backed()) {
-    r.access = Matrix(n, m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double keep = 1.0 - r.blocking[i];
-      for (std::size_t j = 0; j < m; ++j) {
-        r.access(i, j) = keep * r.file_alloc[j];
-      }
-    }
-    r.reported_utilities = EvaluateUtilities(r, problem.preferences);
-  } else {
-    // Lean sparse output: the access matrix e_ij = (1 - f_i) a_j is rank-1
-    // and recoverable from blocking + file_alloc; materializing it at
-    // N = 10^6 would dwarf every other allocation in the window. Reported
-    // utilities are the nets (identical arithmetic to the dense
-    // EvaluateUtilities contraction up to fp association).
-    r.reported_utilities = std::move(net);
-  }
-  return r;
-}
-
-AllocationResult OpusAllocator::AllocateAggregated(
-    const CachingProblem& problem, OpusWarmState* state,
-    OpusDiagnostics* diag) const {
-  const auto t_begin = SteadyClock::now();
-  const std::size_t n = problem.num_users();
-  const std::size_t m = problem.num_files();
-  const std::vector<double>& priorities = options_.user_weights;
-  if (!priorities.empty()) {
-    OPUS_CHECK_EQ(priorities.size(), n);
-    for (double w : priorities) OPUS_CHECK_GT(w, 0.0);
-  }
-  auto priority_of = [&](std::size_t i) {
-    return priorities.empty() ? 1.0 : priorities[i];
-  };
-
-  PfOptions pf_options;
-  pf_options.tolerance = options_.solver_tolerance;
-  pf_options.max_iterations = options_.solver_max_iterations;
-  const CsrMatrix& ucsr = problem.PreferencesCsr();
-  const unsigned threads_hint =
-      options_.tax_threads > 1 ? options_.tax_threads : 1;
-
-  // Aggregated windows keep the warm state at USER granularity (rows,
-  // taxes, star utilities) plus the clustering artifacts, so the same
-  // shape key serves both paths and the auto-tuner's degrade path can hand
-  // the state straight to AllocateDirect.
-  const std::uint64_t shape_key = ProblemShapeKey(problem, priorities);
-  const bool warm_ok =
-      state != nullptr && state->valid && state->preferences.rows() == n &&
-      state->preferences.cols() == m && state->capacity == problem.capacity &&
-      state->shape_key == shape_key && state->star_allocation.size() == m &&
-      state->star_utilities.size() == n && state->taxes.size() == n;
-
-  // Drift statistics vs. the stored user rows — the auto-tuner's input and
-  // the sticky re-clustering signal. The aggregated path needs a threshold
-  // even when delta composition is not configured; 0.05 on normalized rows
-  // is well under the clustering similarity threshold.
-  const double drift_threshold = options_.delta.drift_threshold > 0.0
-                                     ? options_.delta.drift_threshold
-                                     : 0.05;
-  std::vector<double> drift;
-  double drift_fraction = 0.0;
-  if (warm_ok) {
-    drift = RowDriftsCsr(ucsr, state->preferences, threads_hint);
-    std::size_t mechanism = 0;
-    std::size_t drifted = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ucsr.row_sum(i) > 0.0 || state->preferences.row_sum(i) > 0.0) {
-        ++mechanism;
-      }
-      if (drift[i] > drift_threshold) ++drifted;
-    }
-    drift_fraction = mechanism == 0 ? 0.0
-                                    : static_cast<double>(drifted) /
-                                          static_cast<double>(mechanism);
-  }
-  const auto t_drift = SteadyClock::now();
-
-  const std::size_t budget = ChooseClusterBudget(options_.aggregation, n,
-                                                 warm_ok ? drift_fraction
-                                                         : -1.0);
-  if (budget == 0) {
-    // Auto-tuner degrade: drift crossed degrade_drift_fraction, so cluster
-    // approximations stop paying for themselves — run the window at user
-    // granularity. The state is user-granularity by construction and is
-    // handed over intact (NOT invalidated): the direct path warm-starts
-    // from it and clears the cluster artifacts on refresh.
-    return AllocateDirect(problem, state, diag);
-  }
-
-  // Clustering: sticky against the previous window when auto-tuning and the
-  // warm clustering is compatible (and the tuner did not shrink the budget
-  // to under half the surviving cluster count — then a fresh coarse
-  // clustering beats dragging a fine one along); fresh greedy pass
-  // otherwise.
-  const std::size_t prev_k = warm_ok ? state->leader_of.size() : 0;
-  bool leaders_valid = prev_k > 0 && state->cluster_of.size() == n &&
-                       state->cluster_weight.size() == prev_k &&
-                       state->cluster_taxes.size() == prev_k;
-  if (leaders_valid) {
-    for (const std::uint32_t leader : state->leader_of) {
-      if (leader >= n) {
-        leaders_valid = false;
-        break;
-      }
-    }
-  }
-  const bool sticky = options_.aggregation.auto_tune && warm_ok &&
-                      leaders_valid && budget * 2 >= prev_k;
-  std::vector<char> dirty;
-  UserClustering clustering;
-  if (sticky) {
-    clustering = StickyReclusterByPreference(
-        problem, options_.aggregation, priorities, state->cluster_of,
-        state->leader_of, drift, drift_threshold, budget, &dirty);
-  } else {
-    AggregationOptions fresh = options_.aggregation;
-    fresh.max_clusters = budget;
-    clustering = ClusterUsersByPreference(problem, fresh, priorities);
-    dirty.assign(clustering.num_clusters, 1);
-  }
-  if (clustering.num_clusters == 0) {
-    // No user has a non-empty row; the direct path handles the degenerate
-    // window.
-    return AllocateDirect(problem, state, diag);
-  }
-  const CachingProblem aggregate = BuildAggregateProblem(problem, clustering);
-  const std::size_t num_clusters = clustering.num_clusters;
-  const std::vector<double>& cluster_weights = clustering.cluster_weight;
-  std::vector<double> member_count(num_clusters, 0.0);
-  for (const std::uint32_t c : clustering.cluster_of) {
-    if (c != kUnclustered) member_count[c] += 1.0;
-  }
-  const CsrMatrix& acsr = aggregate.PreferencesCsr();
-  const auto t_cluster = SteadyClock::now();
-
-  // Star solve at cluster granularity, warm-started from the previous
-  // window's applied per-file allocation (valid regardless of how the
-  // clustering changed: a* is per-file, not per-cluster).
-  const std::span<const double> star_warm =
-      warm_ok ? std::span<const double>(state->star_allocation)
-              : std::span<const double>();
-  const PfSolution star = SolveProportionalFairnessCsr(
-      acsr, aggregate.capacity, pf_options, cluster_weights, star_warm,
-      aggregate.file_sizes);
-  const auto t_star = SteadyClock::now();
-
-  // Cluster-tax reuse (sticky windows): a cluster untouched by drift or
-  // membership changes whose aggregate row saw only a tiny unsigned
-  // allocation move keeps its previous leave-one-member-out tax — the same
-  // gate the direct path applies per user, at cluster-row granularity.
-  // Auto-off (shared with the delta options) disables reuse when the window
-  // drifted too much for the bookkeeping to pay.
-  const bool delta_auto_off =
-      warm_ok && options_.delta.auto_off_drift_fraction < 1.0 &&
-      drift_fraction >= options_.delta.auto_off_drift_fraction;
-  const bool reuse_active = sticky && !delta_auto_off;
-  std::vector<char> creuse(num_clusters, 0);
-  std::uint64_t reused_taxes = 0;
-  if (reuse_active) {
-    for (std::size_t c = 0; c < num_clusters && c < prev_k; ++c) {
-      if (dirty[c]) continue;
-      const auto cols = acsr.row_cols(c);
-      const auto vals = acsr.row_vals(c);
-      double moved = 0.0;
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        moved += vals[k] * std::fabs(star.allocation[cols[k]] -
-                                     state->star_allocation[cols[k]]);
-      }
-      if (moved > options_.delta.utility_rel_tolerance *
-                      std::max(star.utilities[c], 1e-12)) {
-        continue;
-      }
-      creuse[c] = 1;
-      ++reused_taxes;
-    }
-  }
-
-  // Per-cluster leave-one-MEMBER-out solves. Removing the whole cluster
-  // would price the coalition's externality (which grows with cluster size
-  // and over-taxes every member ~member_count-fold); instead reduce cluster
-  // c's weight by one mean member weight and charge the departing member
-  // the others' welfare gain — the individual Clarke pivot under the
-  // approximation that the member's preferences equal its cluster's.
-  // "Others" includes the member's own cluster at its remaining weight.
-  // Parallel via slot-indexed scratch, folded in order — bit-identical at
-  // any thread count.
-  std::vector<double> member_tax(num_clusters, 0.0);
-  std::vector<LooStats> loo_stats(num_clusters);
-  struct AggScratch {
-    std::vector<double> weights;  // cluster_weights copy; [c] saved/restored
-    std::vector<double> logs;
-  };
-  const unsigned tax_threads =
-      options_.tax_threads > 1
-          ? std::min<unsigned>(options_.tax_threads,
-                               static_cast<unsigned>(num_clusters))
-          : 1;
-  std::vector<AggScratch> scratch(
-      ThreadPool::Shared().SlotBound(num_clusters, tax_threads));
-  auto tax_for = [&](std::size_t c, std::size_t slot) {
-    if (member_count[c] <= 0.0) return;  // emptied-out sticky cluster
-    if (creuse[c]) {
-      member_tax[c] = std::max(0.0, state->cluster_taxes[c]);
-      return;
-    }
-    AggScratch& s = scratch[slot];
-    if (s.weights.size() != num_clusters) {
-      s.weights = cluster_weights;
-      s.logs.reserve(num_clusters);
-    }
-    std::vector<double>& weights = s.weights;
-    const double mean_weight = cluster_weights[c] / member_count[c];
-    const double saved = weights[c];
-    weights[c] = std::max(0.0, cluster_weights[c] - mean_weight);
-    PfSolution without = SolveProportionalFairnessCsr(
-        acsr, aggregate.capacity, pf_options, weights,
-        std::span<const double>(star.allocation), aggregate.file_sizes);
-    s.logs.clear();
-    for (std::size_t k = 0; k < num_clusters; ++k) {
-      if (weights[k] <= 0.0 || without.utilities[k] <= 0.0) continue;
-      s.logs.push_back(weights[k] * std::log(without.utilities[k]));
-    }
-    const double welfare_without = KahanSum(s.logs);
-    s.logs.clear();
-    for (std::size_t k = 0; k < num_clusters; ++k) {
-      if (weights[k] <= 0.0 || star.utilities[k] <= 0.0) continue;
-      s.logs.push_back(weights[k] * std::log(star.utilities[k]));
-    }
-    const double welfare_at_star = KahanSum(s.logs);
-    weights[c] = saved;
-    member_tax[c] = std::max(0.0, welfare_without - welfare_at_star);
-    loo_stats[c] = LooStats::From(without);
-  };
-  if (tax_threads <= 1) {
-    for (std::size_t c = 0; c < num_clusters; ++c) tax_for(c, 0);
-  } else {
-    ThreadPool::Shared().ParallelForSlot(num_clusters, tax_for, tax_threads);
-  }
-  const auto t_tax = SteadyClock::now();
-  PfStats solve_stats;
-  solve_stats.Observe(star);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    loo_stats[c].FoldInto(&solve_stats);
-  }
-
-  // Disaggregate: the file allocation is shared verbatim; per-member taxes
-  // scale with priority (T_i = member_tax_c * w_i / mean_w_c, which
-  // DisaggregateTaxes produces from member_tax_c * member_count_c), so
-  // every member of a cluster gets the same blocking probability.
-  std::vector<double> scaled_cluster_taxes(num_clusters, 0.0);
-  for (std::size_t c = 0; c < num_clusters; ++c) {
-    scaled_cluster_taxes[c] = member_tax[c] * member_count[c];
-  }
-  std::vector<double> taxes;
-  DisaggregateTaxes(clustering, scaled_cluster_taxes, priorities, &taxes);
-  std::vector<double> utilities(n, 0.0);
-  CsrUtilities(ucsr, star.allocation, utilities);
-  std::vector<double> blocking(n, 0.0);
-  std::vector<double> net(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    blocking[i] = 1.0 - std::exp(-taxes[i] / priority_of(i));
-    net[i] = std::exp(-taxes[i] / priority_of(i)) * utilities[i];
-  }
-
-  // Stage 2 at user granularity: sharing is kept only when every member's
-  // net utility covers its own isolated baseline.
-  const std::vector<double> isolated = IsolatedUtilities(problem, priorities);
-  bool ig_holds = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (net[i] < isolated[i] - options_.ig_tolerance) {
-      ig_holds = false;
-      break;
-    }
-  }
-
-  // Refresh the warm state: user rows + disaggregated per-user artifacts
-  // (so the degrade path and drift stats work), plus the clustering and
-  // cluster-level artifacts (so sticky re-clustering and tax reuse work).
-  if (state != nullptr) {
-    state->preferences = ucsr;
-    state->capacity = problem.capacity;
-    state->shape_key = shape_key;
-    state->star_allocation = star.allocation;
     state->star_utilities = utilities;
     state->taxes = taxes;
-    state->cluster_of = clustering.cluster_of;
-    state->leader_of = clustering.leader_of;
-    state->cluster_weight = clustering.cluster_weight;
-    state->cluster_taxes = member_tax;
-    state->cluster_utilities = star.utilities;
+    if (identity) {
+      state->cluster_of.clear();
+      state->leader_of.clear();
+      state->cluster_weight.clear();
+      state->cluster_taxes.clear();
+      state->cluster_utilities.clear();
+    } else {
+      state->cluster_of = clustering.cluster_of;
+      state->leader_of = clustering.leader_of;
+      state->cluster_weight = clustering.cluster_weight;
+      state->cluster_taxes = unit_taxes;
+      state->cluster_utilities = star.utilities;
+    }
     state->drift_fraction = drift_fraction;
     state->windows = warm_ok ? state->windows + 1 : 1;
     state->valid = true;
@@ -1108,24 +881,7 @@ AllocationResult OpusAllocator::AllocateAggregated(
   }
   const auto t_fin = SteadyClock::now();
 
-  auto fill_solver_fields = [&](AllocationResult& r) {
-    r.solver_iterations = solve_stats.iterations;
-    r.solver_residual = solve_stats.max_residual;
-    r.solver_solves = solve_stats.solves;
-    r.solver_projections = solve_stats.projection_calls;
-    r.solver_nnz_ratio = acsr.NnzRatio();
-    r.solver_warm_started = warm_ok;
-    r.solver_agg_clusters = num_clusters;
-    r.solver_delta_window = reuse_active;
-    r.solver_delta_auto_off = delta_auto_off;
-    r.solver_drift_fraction = drift_fraction;
-    if (reuse_active) {
-      r.solver_delta_resolved =
-          static_cast<std::uint64_t>(num_clusters) - reused_taxes;
-      r.solver_delta_reused = reused_taxes;
-    }
-  };
-
+  // --- Diagnostics -----------------------------------------------------------
   if (diag != nullptr) {
     diag->pf_allocation = star.allocation;
     diag->pf_utilities = utilities;
@@ -1137,8 +893,8 @@ AllocationResult OpusAllocator::AllocateAggregated(
       } else if (utilities[i] <= 0.0) {
         diag->break_even_taxes[i] = 0.0;
       } else {
-        diag->break_even_taxes[i] =
-            priority_of(i) * std::log(utilities[i] / isolated[i]);
+        diag->break_even_taxes[i] = WeightOf(priorities, i) *
+                                    std::log(utilities[i] / isolated[i]);
       }
     }
     diag->net_utilities = net;
@@ -1152,35 +908,53 @@ AllocationResult OpusAllocator::AllocateAggregated(
     diag->finalize_wall_ms = WallMs(t_tax, t_fin);
   }
 
-  if (!ig_holds) {
-    AllocationResult r = IsolatedAllocator(priorities).Allocate(problem);
-    r.policy = name();
-    fill_solver_fields(r);
-    return r;
-  }
-
   AllocationResult r;
-  r.policy = name();
-  r.file_alloc = star.allocation;
-  r.taxes = std::move(taxes);
-  r.blocking = std::move(blocking);
-  fill_solver_fields(r);
-  for (std::size_t j = 0; j < m; ++j) {
-    r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
-  }
-  if (problem.dense_backed()) {
-    r.access = Matrix(n, m, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double keep = 1.0 - r.blocking[i];
-      for (std::size_t j = 0; j < m; ++j) {
-        r.access(i, j) = keep * r.file_alloc[j];
-      }
-    }
-    r.reported_utilities = EvaluateUtilities(r, problem.preferences);
+  if (!ig_holds) {
+    r = IsolatedAllocator(priorities).Allocate(problem);
   } else {
-    // Lean sparse output (see AllocateDirect): access is rank-1 implicit.
-    r.reported_utilities = std::move(net);
+    r.file_alloc = star.allocation;
+    r.taxes = std::move(taxes);
+    r.blocking = std::move(blocking);
+    for (std::size_t j = 0; j < m; ++j) {
+      r.copy_footprint += r.file_alloc[j] * problem.FileSize(j);
+    }
+    if (problem.dense_backed()) {
+      r.access = Matrix(n, m, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double keep = 1.0 - r.blocking[i];
+        for (std::size_t j = 0; j < m; ++j) {
+          r.access(i, j) = keep * r.file_alloc[j];
+        }
+      }
+      r.reported_utilities = EvaluateUtilities(r, problem.preferences);
+    } else {
+      // Lean sparse output: the access matrix e_ij = (1 - f_i) a_j is
+      // rank-1 and recoverable from blocking + file_alloc; materializing it
+      // at N = 10^6 would dwarf every other allocation in the window.
+      // Reported utilities are the nets (identical arithmetic to the dense
+      // EvaluateUtilities contraction up to fp association).
+      r.reported_utilities = std::move(net);
+    }
   }
+  r.policy = name();
+  r.solver_iterations = solve_stats.iterations;
+  r.solver_residual = solve_stats.max_residual;
+  r.solver_solves = solve_stats.solves;
+  r.solver_projections = solve_stats.projection_calls;
+  r.solver_restricted_taxes = solve_stats.restricted_solves;
+  r.solver_restricted_fallbacks = solve_stats.restricted_fallbacks;
+  r.solver_nnz_ratio = ucsr != nullptr ? ucsr->NnzRatio() : 1.0;
+  r.solver_warm_started = warm_ok;
+  r.solver_delta_window = reuse_active;
+  r.solver_delta_star_composed = star_composed;
+  r.solver_delta_auto_off = delta_auto_off;
+  r.solver_drift_fraction = drift_fraction;
+  if (reuse_active) {
+    r.solver_delta_resolved = static_cast<std::uint64_t>(k) - reused_taxes;
+    r.solver_delta_reused = reused_taxes;
+  }
+  r.solver_delta_fallbacks = delta_fallbacks;
+  r.solver_agg_clusters = clustering.num_clusters;
   return r;
 }
 

@@ -74,10 +74,11 @@ struct OpusDeltaOptions {
 // (never a dense N x M copy — warm state for 10^6 users at 0.1% density is
 // hundreds of MB, not TB), per-user artifacts are flat N-vectors, and the
 // problem key is dimensions + capacity + an O(M + N) content hash of file
-// sizes and priority weights instead of retained full copies. Aggregated
-// windows ALSO store user-granularity rows/taxes (the disaggregated ones),
-// plus the clustering and cluster-level artifacts, so drift statistics,
-// sticky re-clustering, and cluster-tax reuse all work across windows.
+// sizes and priority weights instead of retained full copies. Every window
+// stores user-granularity rows/taxes (the disaggregated ones after a
+// clustered window); clustered windows add the clustering and the
+// cluster-level artifacts, so drift statistics, sticky re-clustering, and
+// cluster-tax reuse all work across windows.
 struct OpusWarmState {
   bool valid = false;
   CsrMatrix preferences;  // normalized USER rows of the problem last solved
@@ -86,7 +87,7 @@ struct OpusWarmState {
   std::vector<double> star_allocation;   // previous applied a* (length M)
   std::vector<double> star_utilities;    // per-user U_i(a*)
   std::vector<double> taxes;             // per-user Clarke taxes
-  // Aggregated-window artifacts (empty after a direct window):
+  // Clustered-window artifacts (empty after an identity window):
   std::vector<std::uint32_t> cluster_of;   // [user] -> cluster (or kUnclustered)
   std::vector<std::uint32_t> leader_of;    // [cluster] founding user id
   std::vector<double> cluster_weight;      // [cluster] summed member weights
@@ -191,20 +192,16 @@ class OpusAllocator final : public CacheAllocator {
   // then refreshes `state` with this window's outcome. A null, invalid, or
   // structurally incompatible state (dimension/capacity/file-size/weight
   // mismatch) degrades to the cold solve, byte-identical to Allocate().
-  // With options.aggregation.max_clusters > 0 the window is solved at
-  // cluster granularity and disaggregated (state then holds cluster rows).
+  // With aggregation configured (max_clusters > 0 or auto_tune) the window
+  // is solved at cluster granularity and disaggregated, unless the tuner
+  // degrades it or every cluster is a singleton: then it runs at identity
+  // granularity, exactly as without aggregation (DESIGN.md, "OpuS
+  // pipeline").
   AllocationResult AllocateIncremental(const CachingProblem& problem,
                                        OpusWarmState* state,
                                        OpusDiagnostics* diag = nullptr) const;
 
  private:
-  AllocationResult AllocateDirect(const CachingProblem& problem,
-                                  OpusWarmState* state,
-                                  OpusDiagnostics* diag) const;
-  AllocationResult AllocateAggregated(const CachingProblem& problem,
-                                      OpusWarmState* state,
-                                      OpusDiagnostics* diag) const;
-
   OpusOptions options_;
 };
 

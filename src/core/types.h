@@ -153,15 +153,17 @@ struct AllocationResult {
   // the restricted star composition actually served the star solve, how
   // many per-user (or per-cluster) tax solves ran vs. were reused from the
   // warm state, how many delta compositions missed the full-problem KKT
-  // gate and fell back to a warm full solve, and the cluster count when
-  // user aggregation was in effect (0 = unaggregated).
+  // gate and fell back to a warm full solve, and the cluster count of the
+  // window's user clustering (0 = no clustering ran; an all-singleton
+  // clustering reports its count but is solved per user).
   bool solver_warm_started = false;
   bool solver_delta_window = false;
   bool solver_delta_star_composed = false;
-  // True when the delta path was configured but skipped for this window
-  // because the observed drifted-user fraction crossed
-  // OpusDeltaOptions::auto_off_drift_fraction (bookkeeping would cost more
-  // than reuse saves).
+  // True when the window measured drift (delta or aggregation configured,
+  // warm state compatible) and the drifted-user fraction crossed
+  // OpusDeltaOptions::auto_off_drift_fraction: tax reuse and delta
+  // composition are skipped (bookkeeping would cost more than reuse
+  // saves).
   bool solver_delta_auto_off = false;
   // Fraction of mechanism-active users whose preference row drifted beyond
   // the drift threshold vs. the warm state (0 for cold windows).

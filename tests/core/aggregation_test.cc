@@ -1,8 +1,9 @@
-// ROBUS-style user aggregation (core/aggregation.h + AllocateAggregated):
-// clustering is deterministic and complete, tax disaggregation splits by
-// priority weight, singleton clusters reproduce the user-level mechanism,
-// and aggregated windows preserve every user's isolation guarantee (the
-// property cluster-level stage 2 alone cannot give).
+// ROBUS-style user aggregation (core/aggregation.h + the clustered
+// granularity of OpusAllocator's pipeline): clustering is deterministic and
+// complete, tax disaggregation splits by priority weight, singleton
+// clusters reproduce the user-level mechanism bit for bit, and aggregated
+// windows preserve every user's isolation guarantee (the property
+// cluster-level stage 2 alone cannot give).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -107,9 +108,11 @@ TEST(AggregationTest, DisaggregateTaxesSplitsByWeight) {
 }
 
 TEST(AggregationTest, SingletonClustersReproduceTheDirectSolve) {
-  // Every user its own cluster: the aggregate problem is the original one
-  // and each leave-one-member-out solve is exactly the leave-one-out solve,
-  // so the whole mechanism must round-trip through the aggregation layer.
+  // Every user its own cluster: the clustered mechanism degenerates to the
+  // user-level one, so the window runs at identity granularity and must
+  // reproduce the direct solve exactly (cluster ids come out permuted
+  // relative to user ids, so anything but the identity instance would only
+  // agree to solver tolerance).
   const CachingProblem p = ZipfProblem(12, 24, 6.0, 9);
   OpusOptions options;
   options.aggregation.max_clusters = 64;
@@ -122,15 +125,10 @@ TEST(AggregationTest, SingletonClustersReproduceTheDirectSolve) {
 
   const AllocationResult direct = OpusAllocator().Allocate(p);
   EXPECT_EQ(agg.shared, direct.shared);
-  for (std::size_t j = 0; j < p.num_files(); ++j) {
-    EXPECT_NEAR(agg.file_alloc[j], direct.file_alloc[j], 1e-5) << j;
-  }
-  for (std::size_t i = 0; i < p.num_users(); ++i) {
-    EXPECT_NEAR(agg.taxes[i], direct.taxes[i], 1e-5) << "user " << i;
-    EXPECT_NEAR(agg.reported_utilities[i], direct.reported_utilities[i],
-                1e-5)
-        << "user " << i;
-  }
+  EXPECT_EQ(agg.file_alloc, direct.file_alloc);
+  EXPECT_EQ(agg.taxes, direct.taxes);
+  EXPECT_EQ(agg.blocking, direct.blocking);
+  EXPECT_EQ(agg.reported_utilities, direct.reported_utilities);
 }
 
 TEST(AggregationTest, AggregatedWindowPreservesIsolationPerUser) {
@@ -212,31 +210,40 @@ TEST(AggregationTest, HighDriftDegradesToPerUserWithoutColdRestart) {
   // every user's row drifts: the tuner must degrade the window to per-user
   // solves (no clusters) while still consuming the user-granularity warm
   // state — degrading is not a cold restart. The same window must also
-  // trip delta auto-off.
-  OpusOptions options;
-  options.aggregation.auto_tune = true;
-  options.aggregation.min_clusters = 4;
-  options.delta.drift_threshold = 0.05;
-  options.delta.auto_off_drift_fraction = 0.5;
-  const OpusAllocator alloc(options);
+  // trip delta auto-off and report the drift that made it degrade, with
+  // and without delta composition configured (the tuner measures drift
+  // either way).
+  for (const double delta_drift : {0.05, 0.0}) {
+    SCOPED_TRACE(delta_drift > 0.0 ? "delta configured" : "no delta");
+    OpusOptions options;
+    options.aggregation.auto_tune = true;
+    options.aggregation.min_clusters = 4;
+    options.delta.drift_threshold = delta_drift;
+    options.delta.auto_off_drift_fraction = 0.5;
+    const OpusAllocator alloc(options);
 
-  const CachingProblem w0 = ZipfProblem(64, 32, 8.0, 23);
-  const CachingProblem w1 = ZipfProblem(64, 32, 8.0, 29);  // total drift
-  OpusWarmState state;
-  const AllocationResult first = alloc.AllocateIncremental(w0, &state);
-  EXPECT_GT(first.solver_agg_clusters, 0u);
+    const CachingProblem w0 = ZipfProblem(64, 32, 8.0, 23);
+    const CachingProblem w1 = ZipfProblem(64, 32, 8.0, 29);  // total drift
+    OpusWarmState state;
+    const AllocationResult first = alloc.AllocateIncremental(w0, &state);
+    EXPECT_GT(first.solver_agg_clusters, 0u);
 
-  const AllocationResult second = alloc.AllocateIncremental(w1, &state);
-  EXPECT_EQ(second.solver_agg_clusters, 0u);  // degraded to per-user
-  EXPECT_TRUE(second.solver_warm_started);    // ... but not cold
-  EXPECT_TRUE(second.solver_delta_auto_off);
-  EXPECT_FALSE(second.solver_delta_window);
-  EXPECT_GE(second.solver_drift_fraction, 0.5);
-  // The degraded window is a plain warm solve: exact per-user mechanism.
-  const AllocationResult cold = OpusAllocator().Allocate(w1);
-  ASSERT_EQ(second.taxes.size(), cold.taxes.size());
-  for (std::size_t i = 0; i < cold.taxes.size(); ++i) {
-    EXPECT_NEAR(second.taxes[i], cold.taxes[i], 1e-6) << "user " << i;
+    OpusDiagnostics diag;
+    const AllocationResult second =
+        alloc.AllocateIncremental(w1, &state, &diag);
+    EXPECT_EQ(second.solver_agg_clusters, 0u);  // degraded to per-user
+    EXPECT_TRUE(second.solver_warm_started);    // ... but not cold
+    EXPECT_TRUE(second.solver_delta_auto_off);
+    EXPECT_FALSE(second.solver_delta_window);
+    EXPECT_GE(second.solver_drift_fraction, 0.5);
+    EXPECT_EQ(state.drift_fraction, second.solver_drift_fraction);
+    EXPECT_GT(diag.drift_wall_ms, 0.0);
+    // The degraded window is a plain warm solve: exact per-user mechanism.
+    const AllocationResult cold = OpusAllocator().Allocate(w1);
+    ASSERT_EQ(second.taxes.size(), cold.taxes.size());
+    for (std::size_t i = 0; i < cold.taxes.size(); ++i) {
+      EXPECT_NEAR(second.taxes[i], cold.taxes[i], 1e-6) << "user " << i;
+    }
   }
 }
 

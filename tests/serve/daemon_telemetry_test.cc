@@ -189,6 +189,33 @@ TEST(DaemonTelemetryTest, DisarmedP99ThresholdNeverTrips) {
   EXPECT_EQ(daemon.flight_trips(), 0u);
 }
 
+TEST(DaemonTelemetryTest, PinFailureTripsOneAutomaticDump) {
+  DaemonConfig config = SmallConfig();
+  config.flight_path = TempPath("pins") + ".json";
+  Daemon daemon(config, SmallCatalog());
+  daemon.HandleRequest("gen 100 7");
+  ASSERT_EQ(daemon.flight_trips(), 0u);
+  // Pinning every file whole needs 18 MiB of a 12 MiB cluster: some
+  // worker runs out of room, and the next request notices the growth.
+  daemon.cluster().ApplyAllocation(std::vector<double>(6, 1.0));
+  EXPECT_TRUE(IsOk(daemon.HandleRequest("ping")));
+  EXPECT_EQ(daemon.flight_trips(), 1u);
+  const auto spans = obs::ParseSpansPerfettoJson(ReadAll(config.flight_path));
+  ASSERT_TRUE(spans.has_value());
+  std::vector<std::string> reasons;
+  for (const obs::SpanRecord& s : *spans) {
+    if (s.name != "daemon.anomaly") continue;
+    for (const auto& [k, v] : s.attrs) {
+      if (k == "reason") reasons.push_back(v);
+    }
+  }
+  EXPECT_EQ(reasons, std::vector<std::string>{"pin_failure"});
+  // No further growth: later requests do not trip again.
+  EXPECT_TRUE(IsOk(daemon.HandleRequest("ping")));
+  EXPECT_EQ(daemon.flight_trips(), 1u);
+  std::remove(config.flight_path.c_str());
+}
+
 TEST(DaemonTelemetryTest, StatsTickAppendsWindowedJsonLines) {
   DaemonConfig config = SmallConfig();
   config.stats_path = TempPath("stats") + ".jsonl";
